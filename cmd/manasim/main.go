@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -43,7 +44,7 @@ func main() {
 	case "list":
 		err = cmdList()
 	case "run":
-		err = cmdRun(os.Args[2:])
+		err = cmdRun(os.Args[2:], os.Stdout)
 	case "scrub":
 		err = cmdScrub(os.Args[2:])
 	case "experiment":
@@ -85,7 +86,9 @@ run flags:
   -compress gzip the application state in checkpoint images
   -compress-tier  compression tier with -compress: fast (flate BestSpeed,
                  hot checkpoints), balanced (default), or max (archival)
-  -backend checkpoint store backend (mem, fs, obj, tier); -store is an alias
+  -backend checkpoint store backend (mem, fs, obj, tier); every run
+           builds one store from the store flags below, and -faults
+           wraps its backend with injected store faults
   -front-tier    with -backend tier: fast front-tier backend (default mem,
                  charged at the burst-buffer profile)
   -back-tier     with -backend tier: durable back-tier backend the async
@@ -178,7 +181,7 @@ func cmdList() error {
 	return nil
 }
 
-func cmdRun(args []string) error {
+func cmdRun(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	appName := fs.String("app", "comd", "application")
 	implName := fs.String("impl", "mpich", "MPI implementation")
@@ -193,7 +196,6 @@ func cmdRun(args []string) error {
 	compress := fs.Bool("compress", false, "gzip checkpoint image app state")
 	tierName := fs.String("compress-tier", "", "compression tier with -compress: fast, balanced, or max")
 	backendName := fs.String("backend", "", "checkpoint store backend (mem, fs, obj, tier)")
-	storeName := fs.String("store", "", "alias of -backend")
 	frontTier := fs.String("front-tier", "", "tier backend: fast front-tier backend (default mem)")
 	backTier := fs.String("back-tier", "", "tier backend: durable back-tier backend (default fs with -ckpt-dir, else obj)")
 	ckptDir := fs.String("ckpt-dir", "", "directory of directory-backed store backends")
@@ -286,12 +288,12 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("service %s/%s: %d ranks, MTBF=%v, policy=%s\n", *appName, *implName, in.Ranks, *mtbf, out.Policy)
-		fmt.Printf("  goodput=%.3f  total=%.2fms useful=%.2fms lost=%.2fms\n", out.Goodput, out.TotalVTS*1e3, out.BaselineVTS*1e3, out.LostVTS*1e3)
-		fmt.Printf("  crashes=%d restarts=%d ckpts=%d final-interval=%.2fms (est MTBF %.2fms, ckpt cost %.2fms)\n",
+		fmt.Fprintf(w, "service %s/%s: %d ranks, MTBF=%v, policy=%s\n", *appName, *implName, in.Ranks, *mtbf, out.Policy)
+		fmt.Fprintf(w, "  goodput=%.3f  total=%.2fms useful=%.2fms lost=%.2fms\n", out.Goodput, out.TotalVTS*1e3, out.BaselineVTS*1e3, out.LostVTS*1e3)
+		fmt.Fprintf(w, "  crashes=%d restarts=%d ckpts=%d final-interval=%.2fms (est MTBF %.2fms, ckpt cost %.2fms)\n",
 			out.Crashes, out.Restarts, out.Ckpts, out.IntervalS*1e3, out.MTBFEstS*1e3, out.CkptCostS*1e3)
 		if *corruptRate > 0 {
-			fmt.Printf("  integrity: rate=%g fallback=%v corruptions=%d scrub-findings=%d repaired=%d fresh-starts=%d extra-lost=%.2fms\n",
+			fmt.Fprintf(w, "  integrity: rate=%g fallback=%v corruptions=%d scrub-findings=%d repaired=%d fresh-starts=%d extra-lost=%.2fms\n",
 				out.CorruptRate, out.Fallback, out.Corruptions, out.ScrubFindings, out.ScrubRepaired, out.FreshStarts, extraLost(out)*1e3)
 		}
 		return nil
@@ -303,10 +305,6 @@ func cmdRun(args []string) error {
 		Host:           host,
 		UniformHandles: *uniform,
 		DrainStrategy:  *drainName,
-		CompressImages: *compress,
-		CompressTier:   tier,
-		DeltaImages:    *delta,
-		Workers:        *workers,
 		Kernel:         kern,
 		CkptInterval:   interval,
 	}
@@ -327,9 +325,6 @@ func cmdRun(args []string) error {
 	if *legacy {
 		cfg.Design = mana.DesignLegacy
 	}
-	if *backendName == "" {
-		*backendName = *storeName
-	}
 	// -front-tier / -back-tier / -front-cap only make sense composing
 	// the tier backend; asking for them implies it.
 	if *backendName == "" && (*frontTier != "" || *backTier != "" || *frontCap > 0) {
@@ -338,27 +333,28 @@ func cmdRun(args []string) error {
 	if *ckptDir != "" && *backendName == "" {
 		*backendName = "fs"
 	}
-	// -delta, -dedup, -chunk-kb and -retain-bases need an explicit store
-	// even without -backend: the implicit in-core store has no such knobs.
-	if *backendName != "" || *delta || *dedup || *chunkKB > 0 || *retainBases > 0 {
-		st, err := ckptstore.Open(in.Ranks, ckptstore.Options{
-			Backend:      *backendName,
-			Dir:          *ckptDir,
-			FrontTier:    *frontTier,
-			BackTier:     *backTier,
-			FrontCap:     int64(*frontCap) << 10,
-			Delta:        *delta,
-			Dedup:        *dedup,
-			Compress:     *compress,
-			CompressTier: tier,
-			ChunkBytes:   *chunkKB << 10,
-			RetainBases:  *retainBases,
-			Workers:      *workers,
-		})
-		if err != nil {
-			return err
-		}
-		cfg.Store = st
+	// The one checkpoint store of this run: every format and backend
+	// flag lands here, and -faults wraps its backend so injected store
+	// faults fire whatever the store's shape.
+	opts := ckptstore.Options{
+		Backend:      *backendName,
+		Dir:          *ckptDir,
+		FrontTier:    *frontTier,
+		BackTier:     *backTier,
+		FrontCap:     int64(*frontCap) << 10,
+		Delta:        *delta,
+		Dedup:        *dedup,
+		Compress:     *compress,
+		CompressTier: tier,
+		ChunkBytes:   *chunkKB << 10,
+		RetainBases:  *retainBases,
+		Workers:      *workers,
+	}
+	if cfg.Faults != nil {
+		opts.WrapBackend = cfg.Faults.WrapBackend()
+	}
+	if cfg.Store, err = ckptstore.Open(in.Ranks, opts); err != nil {
+		return err
 	}
 
 	start := time.Now()
@@ -367,7 +363,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		report(*appName, "native/"+*implName, st, in, start)
+		report(w, *appName, "native/"+*implName, st, in, start)
 		return nil
 	}
 
@@ -376,9 +372,9 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		report(*appName, "MANA/"+*implName, st, in, start)
+		report(w, *appName, "MANA/"+*implName, st, in, start)
 		if cfg.Faults != nil {
-			reportFaults(cfg.Faults, st)
+			reportFaults(w, cfg.Faults, st)
 		}
 		return nil
 	}
@@ -394,9 +390,9 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	report(*appName, "MANA/"+*implName, st, in, start)
+	report(w, *appName, "MANA/"+*implName, st, in, start)
 	if cfg.Faults != nil {
-		reportFaults(cfg.Faults, st)
+		reportFaults(w, cfg.Faults, st)
 	}
 	store := s.Store()
 	images, chains, err := store.MaterializeHead()
@@ -413,10 +409,10 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("checkpoint: %d rank images at step %d, %d KB real + %d MB modeled per rank\n",
+	fmt.Fprintf(w, "checkpoint: %d rank images at step %d, %d KB real + %d MB modeled per rank\n",
 		len(images), img0.Step, bytes/len(images)/1024, img0.ModeledBytes>>20)
 	if links := chains[0].Links; links > 0 {
-		fmt.Printf("checkpoint: head resolves a %d-link delta chain (%d KB base + %d KB deltas per rank)\n",
+		fmt.Fprintf(w, "checkpoint: head resolves a %d-link delta chain (%d KB base + %d KB deltas per rank)\n",
 			links, chains[0].BaseBytes/1024, chains[0].DeltaBytes/1024)
 	}
 	for _, g := range store.Generations() {
@@ -424,12 +420,12 @@ func cmdRun(args []string) error {
 		if !g.Base() {
 			kind = fmt.Sprintf("delta (%d ranks)", g.DeltaRanks)
 		}
-		fmt.Printf("store[%s]: generation %d at step %d: %s, %d KB stored\n",
+		fmt.Fprintf(w, "store[%s]: generation %d at step %d: %s, %d KB stored\n",
 			store.BackendName(), g.Seq, g.Step, kind, g.Bytes/1024)
 	}
 	if store.Dedup() {
 		ds := store.DedupStats()
-		fmt.Printf("dedup: %d blobs, %d KB stored for %d KB logical (ratio %.2f, %d shared refs)\n",
+		fmt.Fprintf(w, "dedup: %d blobs, %d KB stored for %d KB logical (ratio %.2f, %d shared refs)\n",
 			ds.Blobs, ds.StoredBytes/1024, ds.LogicalBytes/1024, ds.Ratio(), ds.SharedRefs)
 	}
 
@@ -448,14 +444,14 @@ func cmdRun(args []string) error {
 	// The restart's own materialization already resolved every chain;
 	// report its chunk accounting instead of resolving a second time.
 	if sc := rs.RestartChains(); *streamRestart && len(sc) > 0 && sc[0].Links > 0 {
-		fmt.Printf("streaming: rank 0 inflated %d chunks, skipped %d superseded (peak %d KB vs %d KB batch)\n",
+		fmt.Fprintf(w, "streaming: rank 0 inflated %d chunks, skipped %d superseded (peak %d KB vs %d KB batch)\n",
 			sc[0].ChunksRead, sc[0].ChunksSkipped, sc[0].PeakBytes/1024, chains[0].PeakBytes/1024)
 	}
 	rst, err := rs.Wait()
 	if err != nil {
 		return err
 	}
-	report(*appName, "restart MANA/"+*restartImpl, rst, in, start)
+	report(w, *appName, "restart MANA/"+*restartImpl, rst, in, start)
 	return nil
 }
 
@@ -519,25 +515,25 @@ func cmdScrub(args []string) error {
 // reportFaults summarizes what the injector actually did to a single
 // run; without it -faults is indistinguishable from a clean run (the
 // straggler windows are milliseconds against multi-second VTs).
-func reportFaults(inj *faults.Injector, st mana.Stats) {
+func reportFaults(w io.Writer, inj *faults.Injector, st mana.Stats) {
 	p := inj.Plan()
-	fmt.Printf("faults[seed %d]: %d stragglers (x%g for %v), %d store ops failed (%d retried, %v backoff)",
+	fmt.Fprintf(w, "faults[seed %d]: %d stragglers (x%g for %v), %d store ops failed (%d retried, %v backoff)",
 		p.Seed, p.Stragglers, p.StragglerFactor, p.StragglerWindow,
 		inj.StoreFaultsHit(), st.StoreRetries, st.StoreRetryVT)
 	if d, r := inj.CtlDropped(), inj.CtlDelayed(); d+r > 0 {
-		fmt.Printf(", ctl dropped=%d delayed=%d", d, r)
+		fmt.Fprintf(w, ", ctl dropped=%d delayed=%d", d, r)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func report(appName, mode string, st mana.Stats, in apps.Input, start time.Time) {
+func report(w io.Writer, appName, mode string, st mana.Stats, in apps.Input, start time.Time) {
 	ext := in.ExtrapolationFactor()
-	fmt.Printf("%-8s %-24s vt=%8.1fs  (sim %d/%d steps, wall %v)",
+	fmt.Fprintf(w, "%-8s %-24s vt=%8.1fs  (sim %d/%d steps, wall %v)",
 		appName, mode, st.VT.Seconds()*ext, in.EffectiveSimSteps(), in.Steps, time.Since(start).Round(time.Millisecond))
 	if st.Crossings > 0 {
-		fmt.Printf("  crossings=%.1fM", float64(st.Crossings)/1e6)
+		fmt.Fprintf(w, "  crossings=%.1fM", float64(st.Crossings)/1e6)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 func cmdExperiment(args []string) error {

@@ -2,11 +2,11 @@ package ckpt
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"manasim/internal/ckptstore"
-	"manasim/internal/fsim"
 )
 
 // TagAnnounce is the MANA-internal tag used on the internal
@@ -71,16 +71,20 @@ type CtlLink interface {
 	CtlRecv(src, tag, count int) ([]int64, error)
 }
 
+// DefaultSkewBound is the boundary lag rank 0 announces an asynchronous
+// checkpoint request with when the caller sets none.
+const DefaultSkewBound = 8
+
 // Coordinator drives checkpoints across the ranks of one MANA job. It
 // plays the role of the DMTCP coordinator in real MANA: an entity
 // outside the ranks that requests checkpoints and collects images into
-// the generation-chained checkpoint store.
+// the generation-chained checkpoint store. The store is the only place
+// delivered image bytes live once a generation commits; the coordinator
+// itself holds nothing but the in-flight generation's staged images.
 type Coordinator struct {
-	n       int
-	fs      fsim.FS
-	storage *fsim.Storage
-	store   *ckptstore.Store
-	lag     int
+	n     int
+	store *ckptstore.Store
+	lag   int
 
 	// atStep is a preset checkpoint boundary (deterministic tests and
 	// scheduled checkpoints); <0 means none.
@@ -100,28 +104,30 @@ type Coordinator struct {
 	// taken counts checkpoint generations completed by THIS coordinator
 	// (a restarted job reuses a store with earlier generations).
 	taken int
+
+	// rootMu guards what rank 0 publishes for AwaitRoot: the last
+	// boundary it finished agreeing on (math.MaxInt once its rank has
+	// exited) and how many announcements it has sent. annSeen counts the
+	// announcements each rank received; a rank touches only its own slot.
+	rootMu   sync.Mutex
+	rootCond *sync.Cond
+	rootStep int
+	rootAnn  int
+	annSeen  []int
 }
 
-// NewCoordinator builds a coordinator for an n-rank job with a fresh
-// in-memory, full-image store (the compat path: callers that want delta
-// images or durable backends use NewStoreCoordinator).
-func NewCoordinator(n int, fs fsim.FS, storage *fsim.Storage, lag int) *Coordinator {
-	return NewStoreCoordinator(n, fs, storage, nil, lag)
-}
-
-// NewStoreCoordinator builds a coordinator delivering into st; a nil st
-// gets a fresh in-memory store.
-func NewStoreCoordinator(n int, fs fsim.FS, storage *fsim.Storage, st *ckptstore.Store, lag int) *Coordinator {
-	if storage == nil {
-		storage = fsim.NewStorage()
-	}
+// NewCoordinator builds a coordinator for an n-rank job delivering into
+// st, which must be non-nil. lag is the skew bound of asynchronous
+// requests (DefaultSkewBound when <= 0).
+func NewCoordinator(n int, st *ckptstore.Store, lag int) *Coordinator {
 	if st == nil {
-		st = ckptstore.MustOpen(n, ckptstore.Options{})
+		panic("ckpt: NewCoordinator needs a checkpoint store")
 	}
 	if lag <= 0 {
-		lag = 8
+		lag = DefaultSkewBound
 	}
-	c := &Coordinator{n: n, fs: fs, storage: storage, store: st, lag: lag, gen: make(map[int][]byte)}
+	c := &Coordinator{n: n, store: st, lag: lag, gen: make(map[int][]byte), rootStep: -1, annSeen: make([]int, n)}
+	c.rootCond = sync.NewCond(&c.rootMu)
 	c.atStep.Store(-1)
 	return c
 }
@@ -136,9 +142,6 @@ func (c *Coordinator) RequestCheckpointAtStep(s int) { c.atStep.Store(int64(s)) 
 // announces it to all ranks over MANA's internal communicator — the
 // simulator's stand-in for the checkpoint signal.
 func (c *Coordinator) RequestCheckpoint() { c.asyncReq.Store(true) }
-
-// Storage exposes the legacy flat image store (fault-injection tests).
-func (c *Coordinator) Storage() *fsim.Storage { return c.storage }
 
 // Store exposes the generation-chained checkpoint store.
 func (c *Coordinator) Store() *ckptstore.Store { return c.store }
@@ -187,7 +190,6 @@ func (c *Coordinator) Deliver(rank int, data []byte) error {
 		return &DoubleDeliverError{Rank: rank, Gen: c.taken}
 	}
 	c.gen[rank] = data
-	c.storage.Write(fmt.Sprintf("ckpt_rank%d", rank), data)
 	if len(c.gen) == c.n {
 		set := make([][]byte, c.n)
 		for r, img := range c.gen {
@@ -212,6 +214,9 @@ func (c *Coordinator) Deliver(rank int, data []byte) error {
 // announcing it over the control link; other ranks poll the link while
 // an announcement is in flight.
 func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int) (int, error) {
+	if rank == 0 {
+		defer c.publishRoot(func() { c.rootStep = step })
+	}
 	// Preset target (deterministic scheduling).
 	if t := int(c.atStep.Load()); t >= 0 && pending < 0 {
 		pending = clampStep(t, total)
@@ -227,6 +232,7 @@ func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int)
 			}
 		}
 		c.announced.Store(true)
+		c.publishRoot(func() { c.rootAnn++ })
 	}
 
 	// Non-root ranks poll for an announcement at every safe point. The
@@ -246,6 +252,7 @@ func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int)
 			if err != nil {
 				return pending, err
 			}
+			c.annSeen[rank]++
 			s := int(vals[0])
 			if step > s {
 				return pending, fmt.Errorf("ckpt: checkpoint skew bound exceeded: rank %d at step %d, target %d (raise Config.SkewBound)", rank, step, s)
@@ -254,6 +261,39 @@ func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int)
 		}
 	}
 	return pending, nil
+}
+
+// AwaitRoot blocks non-root rank at boundary step, outside virtual
+// time, until rank 0 can no longer announce a checkpoint the rank's
+// probe at step would miss: rank 0 has finished its own agreement at
+// step or beyond, has sent an announcement the rank has not received,
+// or has exited (RootExited). Ranks run ahead of rank 0 in wall time
+// under the goroutine kernel; without the wait, a rank probing before
+// rank 0 has sent an announcement stamped earlier in virtual time
+// either overshoots the target (skew error) or, at its final boundary,
+// leaves for Finalize while rank 0 parks alone in the drain. It cannot
+// deadlock: a rank at boundary step has sent everything rank 0 needs to
+// reach step. The event kernel runs one rank at a time and must not
+// block here.
+func (c *Coordinator) AwaitRoot(rank, step int) {
+	c.rootMu.Lock()
+	defer c.rootMu.Unlock()
+	for c.rootStep < step && c.rootAnn == c.annSeen[rank] {
+		c.rootCond.Wait()
+	}
+}
+
+// RootExited records that rank 0's activity returned, for whatever
+// reason, releasing every rank blocked in AwaitRoot.
+func (c *Coordinator) RootExited() { c.publishRoot(func() { c.rootStep = math.MaxInt }) }
+
+// publishRoot applies an update to rank 0's published progress and wakes
+// the ranks waiting on it.
+func (c *Coordinator) publishRoot(update func()) {
+	c.rootMu.Lock()
+	update()
+	c.rootMu.Unlock()
+	c.rootCond.Broadcast()
 }
 
 // CheckpointDone clears the request state after every rank checkpointed

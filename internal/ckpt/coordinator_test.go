@@ -3,12 +3,18 @@ package ckpt
 import (
 	"errors"
 	"testing"
+	"time"
 
-	"manasim/internal/fsim"
+	"manasim/internal/ckptstore"
 )
 
+// newCo builds a coordinator over a fresh in-memory store.
+func newCo(n, lag int) *Coordinator {
+	return NewCoordinator(n, ckptstore.MustOpen(n, ckptstore.Options{}), lag)
+}
+
 func TestDeliverRejectsDoubleDelivery(t *testing.T) {
-	co := NewCoordinator(2, fsim.NFSv3(), nil, 8)
+	co := newCo(2, 8)
 	if err := co.Deliver(0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +32,7 @@ func TestDeliverRejectsDoubleDelivery(t *testing.T) {
 }
 
 func TestDeliverRejectsOutOfRangeRank(t *testing.T) {
-	co := NewCoordinator(2, fsim.NFSv3(), nil, 8)
+	co := newCo(2, 8)
 	if err := co.Deliver(2, []byte{1}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
@@ -36,7 +42,7 @@ func TestDeliverRejectsOutOfRangeRank(t *testing.T) {
 }
 
 func TestImagesIncompleteGenerationTypedError(t *testing.T) {
-	co := NewCoordinator(3, fsim.NFSv3(), nil, 8)
+	co := newCo(3, 8)
 
 	// Nothing delivered yet.
 	_, err := co.Images()
@@ -147,7 +153,7 @@ func (l rankLink) CtlRecv(src, tag, count int) ([]int64, error) {
 
 func TestNextBoundaryAnnouncesAndAgrees(t *testing.T) {
 	const lag = 4
-	co := NewCoordinator(2, fsim.NFSv3(), nil, lag)
+	co := newCo(2, lag)
 	net := newFakeLink(2)
 
 	// No request pending: nothing happens.
@@ -182,7 +188,7 @@ func TestNextBoundaryAnnouncesAndAgrees(t *testing.T) {
 }
 
 func TestNextBoundarySkewBoundExceeded(t *testing.T) {
-	co := NewCoordinator(2, fsim.NFSv3(), nil, 2)
+	co := newCo(2, 2)
 	net := newFakeLink(2)
 	co.RequestCheckpoint()
 	if _, err := co.NextBoundary(net.linkFor(0), 0, 3, 100, -1); err != nil {
@@ -194,8 +200,60 @@ func TestNextBoundarySkewBoundExceeded(t *testing.T) {
 	}
 }
 
+// TestAwaitRootReleases pins what holds a non-root rank at a boundary:
+// it waits until rank 0 has agreed on that boundary, has sent an
+// announcement the rank has not consumed, or has exited.
+func TestAwaitRootReleases(t *testing.T) {
+	await := func(co *Coordinator, step int) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			co.AwaitRoot(1, step)
+			close(done)
+		}()
+		return done
+	}
+	expect := func(done chan struct{}, released bool, what string) {
+		t.Helper()
+		select {
+		case <-done:
+			if !released {
+				t.Fatalf("%s: rank 1 released", what)
+			}
+		case <-time.After(50 * time.Millisecond):
+			if released {
+				t.Fatalf("%s: rank 1 still waiting", what)
+			}
+		}
+	}
+	co := newCo(2, 8)
+	net := newFakeLink(2)
+	done := await(co, 3)
+	if _, err := co.NextBoundary(net.linkFor(0), 0, 2, 10, -1); err != nil {
+		t.Fatal(err)
+	}
+	expect(done, false, "rank 0 agreed on boundary 2")
+	if _, err := co.NextBoundary(net.linkFor(0), 0, 3, 10, -1); err != nil {
+		t.Fatal(err)
+	}
+	expect(done, true, "rank 0 agreed on boundary 3")
+
+	done = await(co, 5)
+	co.RequestCheckpoint()
+	if _, err := co.NextBoundary(net.linkFor(0), 0, 4, 10, -1); err != nil {
+		t.Fatal(err)
+	}
+	expect(done, true, "rank 0 announced")
+	if got, err := co.NextBoundary(net.linkFor(1), 1, 5, 10, -1); err != nil || got != 10 {
+		t.Fatalf("rank 1 consuming the announcement: target %d, %v", got, err)
+	}
+	done = await(co, 6)
+	expect(done, false, "announcement consumed")
+	co.RootExited()
+	expect(done, true, "rank 0 exited")
+}
+
 func TestNextBoundaryClampsToFinalStep(t *testing.T) {
-	co := NewCoordinator(1, fsim.NFSv3(), nil, 8)
+	co := newCo(1, 8)
 	co.RequestCheckpointAtStep(50)
 	got, err := co.NextBoundary(newFakeLink(1).linkFor(0), 0, 0, 10, -1)
 	if err != nil || got != 10 {

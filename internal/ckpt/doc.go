@@ -34,11 +34,14 @@
 // rejecting double delivery and incomplete sets with typed errors.
 //
 // Collected images land in a generation-chained checkpoint store
-// (internal/ckptstore): Deliver stages a rank's encoded image and
-// commits the generation only once every rank has delivered, so a rank
-// killed mid-checkpoint leaves nothing in the store — the staged bytes
-// die with the coordinator and Images keeps returning the last complete
-// generation (or *IncompleteSetError when none exists). Images
+// (internal/ckptstore), which NewCoordinator requires: the store is the
+// one owner of checkpoint bytes and of their format (delta, dedup,
+// compression, backend), and the coordinator keeps no copy of its own.
+// Deliver stages a rank's encoded image and commits the generation only
+// once every rank has delivered, so a rank killed mid-checkpoint leaves
+// nothing in the store — the staged bytes die with the coordinator and
+// Images keeps returning the last complete generation (or
+// *IncompleteSetError when none exists). Images
 // materializes base+delta chains back into full images, so the restart
 // path is oblivious to whether generations were written incrementally.
 // Rank-side encoding asks the store (Coordinator.Store) whether to
@@ -61,6 +64,15 @@
 // so no concurrent Deliver exists to block. Images/Store reads and the
 // boundary-agreement calls (NextBoundary, CheckpointDone) use separate
 // or atomic state and interleave freely.
+//
+// Boundary agreement is decided in virtual time, but under the goroutine
+// kernel ranks run ahead of one another in wall time, so a non-root rank
+// could probe for rank 0's announcement before rank 0 has sent it. Such
+// ranks first call AwaitRoot, which holds them, without charging virtual
+// time, until rank 0 has settled that boundary (agreed on it, announced,
+// or exited). Rank 0 publishes that progress under a small mutex and
+// condition variable; the event kernel, which runs one rank at a time,
+// never waits on it.
 //
 // A store commit failure surfaces from the completing rank's Deliver;
 // the store guarantees the failed generation left no blobs or chain

@@ -7,6 +7,7 @@ import (
 
 	"manasim/internal/ckpt"
 	"manasim/internal/ckptimg"
+	"manasim/internal/cluster"
 	"manasim/internal/fsim"
 	"manasim/internal/mpi"
 	"manasim/internal/vid"
@@ -22,11 +23,6 @@ var ErrStoppedAtCheckpoint = errors.New("mana: job stopped after checkpoint (pre
 // implementation lives in the checkpoint subsystem (internal/ckpt); the
 // alias keeps the runtime API unchanged.
 type Coordinator = ckpt.Coordinator
-
-// NewCoordinator builds a coordinator for an n-rank job.
-func NewCoordinator(n int, fs fsim.FS, storage *fsim.Storage, lag int) *Coordinator {
-	return ckpt.NewCoordinator(n, fs, storage, lag)
-}
 
 // ---------------------------------------------------------------------
 // per-rank protocol
@@ -71,6 +67,13 @@ func (r *Runtime) AtBoundary(step, total int) error {
 	if r.rank == 0 && r.cfg.CkptStopVT > 0 && r.ckptAtStep < 0 && step < total &&
 		r.clock.Now() >= r.cfg.CkptStopVT && r.lastCkptVT < r.cfg.CkptStopVT {
 		r.co.RequestCheckpoint()
+	}
+	// Under the goroutine kernel a non-root rank may run ahead of rank 0
+	// in wall time and probe for an announcement rank 0 stamped earlier
+	// in virtual time but has not sent yet; hold it until rank 0 settles
+	// this boundary (see Coordinator.AwaitRoot).
+	if r.rank != 0 && r.ckptAtStep < 0 && r.cfg.Kernel != cluster.KernelEvent {
+		r.co.AwaitRoot(r.rank, step)
 	}
 	target, err := r.co.NextBoundary(ctlLink{r}, r.rank, step, total, r.ckptAtStep)
 	if err != nil {

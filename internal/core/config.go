@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"manasim/internal/ckpt"
-	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
 	"manasim/internal/cluster"
 	"manasim/internal/faults"
@@ -96,7 +95,8 @@ type Config struct {
 	// node-targeted crash kills every rank placed on the node.
 	Placement []int
 	// SkewBound is the maximum step skew tolerated between ranks when
-	// coordinating an asynchronous checkpoint request (default 8).
+	// coordinating an asynchronous checkpoint request (default
+	// ckpt.DefaultSkewBound).
 	SkewBound int
 	// DrainStrategy names the in-flight message drain algorithm used at
 	// checkpoint time (default ckpt.DefaultDrain, the paper's two-phase
@@ -104,39 +104,15 @@ type Config struct {
 	// topological-sort drain of arXiv:2408.02218). Strategies are
 	// registered by internal/ckpt/drain.
 	DrainStrategy string
-	// CompressImages gzips the application-state sections of checkpoint
-	// images (ckptimg format v3). When Store is set, the store's own
-	// Compress option governs instead.
-	CompressImages bool
-	// CompressTier selects the flate effort of compressed images on the
-	// implicit store: ckptimg.TierFast (BestSpeed, hot checkpoints),
-	// ckptimg.TierBalanced (default), or ckptimg.TierMax (archival).
-	// When Store is set, the store's own tier governs instead.
-	CompressTier ckptimg.CompressTier
-	// Workers bounds the implicit checkpoint store's worker pool — the
-	// fan-out of per-rank decode/index/backend work on Commit and
-	// Materialize (0 = GOMAXPROCS, 1 = serial). When Store is set, the
-	// store's own Workers option governs instead.
-	Workers int
 	// Store is the generation-chained checkpoint store the job delivers
-	// into and restarts from. Nil gets a fresh in-memory store whose
-	// delta and compression modes follow DeltaImages / CompressImages;
-	// passing the same store across a run/restart chain makes later
-	// generations delta against earlier ones.
+	// into and restarts from; it alone decides how checkpoint bytes are
+	// encoded and kept (delta, dedup, compression, chunking, backend,
+	// worker pool — see ckptstore.Options). Nil gets a fresh in-memory
+	// full-image store whose backend is wrapped by Faults.WrapBackend
+	// when an injector is set; callers that want any other format open
+	// the store themselves. Passing the same store across a run/restart
+	// chain makes later generations delta against earlier ones.
 	Store *ckptstore.Store
-	// DeltaImages enables incremental checkpoint images when Store is
-	// nil (ckptstore.Options.Delta on the implicit store).
-	DeltaImages bool
-	// Dedup enables the content-addressed blob layer on the implicit
-	// store (ckptstore.Options.Dedup): identical image segments are
-	// stored once across ranks and generations, and each rank's
-	// checkpoint write is charged for only the new unique bytes it
-	// introduced (ckptstore.CommitCharge) instead of its whole encoded
-	// image. Because the unique-byte attribution is known only after
-	// the commit inside the last rank's delivery, the write charge
-	// lands after the completion barrier. When Store is set, the
-	// store's own Dedup option governs instead.
-	Dedup bool
 	// FixedXlatCost, when positive, replaces the measured virtual-id
 	// translation time each wrapper charges to the rank clock with this
 	// fixed modeled cost. The default (zero, measured) is what lets the
@@ -205,9 +181,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Host.Name == "" {
 		c.Host = simtime.Discovery()
 	}
-	if c.SkewBound <= 0 {
-		c.SkewBound = 8
-	}
 	if c.DrainStrategy == "" {
 		c.DrainStrategy = ckpt.DefaultDrain
 	}
@@ -216,7 +189,7 @@ func (c Config) withDefaults() (Config, error) {
 
 // ckptStoreFor resolves the checkpoint store an n-rank job delivers
 // into: the configured one (validated against the job geometry) or a
-// fresh in-memory store following the config's delta/compression modes.
+// fresh in-memory full-image store under the fault injector's wrapper.
 func (c Config) ckptStoreFor(n int) (*ckptstore.Store, error) {
 	if c.Store != nil {
 		if c.Store.Ranks() != n {
@@ -228,14 +201,7 @@ func (c Config) ckptStoreFor(n int) (*ckptstore.Store, error) {
 	if c.Faults != nil {
 		wrap = c.Faults.WrapBackend()
 	}
-	return ckptstore.Open(n, ckptstore.Options{
-		Delta:        c.DeltaImages,
-		Dedup:        c.Dedup,
-		Compress:     c.CompressImages,
-		CompressTier: c.CompressTier,
-		Workers:      c.Workers,
-		WrapBackend:  wrap,
-	})
+	return ckptstore.Open(n, ckptstore.Options{WrapBackend: wrap})
 }
 
 // newStore builds the configured vid store for a lower half with the

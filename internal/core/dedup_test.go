@@ -228,8 +228,7 @@ func TestDedupDeterminismBattery(t *testing.T) {
 					run := func() Stats {
 						cfg := implFactory(t, impl)
 						cfg.FixedXlatCost = 50 * time.Nanosecond
-						cfg.Dedup = dedup
-						cfg.DeltaImages = true
+						cfg.Store = ckptstore.MustOpen(ranks, ckptstore.Options{Delta: true, Dedup: dedup})
 						st, _, err := Run(cfg, ranks, newDedupApp(steps, seed), ckptAt)
 						if err != nil {
 							t.Fatal(err)

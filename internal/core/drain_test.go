@@ -6,6 +6,7 @@ import (
 
 	"manasim/internal/ckpt"
 	"manasim/internal/ckptimg"
+	"manasim/internal/ckptstore"
 	"manasim/internal/impls"
 )
 
@@ -176,7 +177,7 @@ func TestCompressedImagesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := implFactory(t, "mpich")
-	cfg.CompressImages = true
+	cfg.Store = ckptstore.MustOpen(4, ckptstore.Options{Compress: true})
 	cfg.ExitAtCheckpoint = true
 	_, images, err := Run(cfg, 4, newRingApp(8), 4)
 	if err != nil {

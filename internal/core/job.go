@@ -3,6 +3,7 @@ package mana
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"manasim/internal/app"
@@ -73,12 +74,16 @@ type Stats struct {
 	StoreCorruptions int
 }
 
-// Session is a running MANA job.
+// Session is a MANA job. Its ranks launch on the first Wait, so a
+// checkpoint requested through Co before Wait is seen by every rank
+// from step 0 on — never late for some of them.
 type Session struct {
 	Co *Coordinator
 
 	cfg       Config
 	job       *cluster.Job
+	rankFn    cluster.RankFn
+	launch    sync.Once
 	n         int
 	runtimes  []*Runtime
 	checksums []uint64
@@ -89,31 +94,19 @@ type Session struct {
 	restartGen int
 }
 
-// StartJob launches an n-rank application under MANA. Checkpoints are
-// delivered into cfg.Store (or a fresh in-memory store when nil).
+// StartJob prepares an n-rank application under MANA; its ranks launch
+// on the first Wait. Checkpoints are delivered into cfg.Store (or a
+// fresh in-memory store when nil).
 func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	st, err := cfg.ckptStoreFor(n)
+	s, err := newSession(cfg, n, nil)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		cfg:        cfg,
-		n:          n,
-		Co:         ckpt.NewStoreCoordinator(n, cfg.FS, nil, st, cfg.SkewBound),
-		runtimes:   make([]*Runtime, n),
-		checksums:  make([]uint64, n),
-		stopped:    make([]bool, n),
-		restartGen: -1,
-	}
-	s.job = cluster.NewKernel(n, cfg.Factory, cfg.Host.Net, cfg.Kernel)
-	if err := armFaults(cfg, s.job); err != nil {
-		return nil, err
-	}
-	s.job.Start(func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
+	s.rankFn = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
 		rt, err := NewRuntime(cfg, proc, clock, s.Co)
 		if err != nil {
 			return err
@@ -122,7 +115,32 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 		s.wireFaults(rt, rank, clock)
 		inst := factory()
 		return s.runRank(rt, inst, rank, 0, true)
-	})
+	}
+	return s, nil
+}
+
+// newSession builds the coordinator, cluster job and fault wiring of an
+// n-rank session delivering into cfg's checkpoint store. The caller
+// sets rankFn before the session is waited on.
+func newSession(cfg Config, n int, chains []ckptstore.ChainStats) (*Session, error) {
+	st, err := cfg.ckptStoreFor(n)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{
+		cfg:        cfg,
+		n:          n,
+		Co:         ckpt.NewCoordinator(n, st, cfg.SkewBound),
+		runtimes:   make([]*Runtime, n),
+		checksums:  make([]uint64, n),
+		stopped:    make([]bool, n),
+		chains:     chains,
+		restartGen: -1,
+	}
+	s.job = cluster.NewKernel(n, cfg.Factory, cfg.Host.Net, cfg.Kernel)
+	if err := armFaults(cfg, s.job); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -205,27 +223,11 @@ func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.Chai
 	for _, img := range imgs {
 		byRank[img.Rank] = img
 	}
-	n := imgs[0].NRanks
-
-	st, err := cfg.ckptStoreFor(n)
+	s, err := newSession(cfg, imgs[0].NRanks, chains)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		cfg:        cfg,
-		n:          n,
-		Co:         ckpt.NewStoreCoordinator(n, cfg.FS, nil, st, cfg.SkewBound),
-		runtimes:   make([]*Runtime, n),
-		checksums:  make([]uint64, n),
-		stopped:    make([]bool, n),
-		chains:     chains,
-		restartGen: -1,
-	}
-	s.job = cluster.NewKernel(n, cfg.Factory, cfg.Host.Net, cfg.Kernel)
-	if err := armFaults(cfg, s.job); err != nil {
-		return nil, err
-	}
-	s.job.Start(func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
+	s.rankFn = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
 		img := byRank[rank]
 		var chain *ckptstore.ChainStats
 		if chains != nil && img.Rank < len(chains) {
@@ -242,7 +244,7 @@ func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.Chai
 			return fmt.Errorf("mana: restoring application state: %w", err)
 		}
 		return s.runRank(rt, inst, rank, img.Step, false)
-	})
+	}
 	return s, nil
 }
 
@@ -298,8 +300,21 @@ func (s *Session) RestartChains() []ckptstore.ChainStats {
 	return append([]ckptstore.ChainStats(nil), s.chains...)
 }
 
-// Wait blocks until the job completes and returns its statistics.
+// Wait launches the ranks on its first call, blocks until the job
+// completes, and returns its statistics.
 func (s *Session) Wait() (Stats, error) {
+	s.launch.Do(func() {
+		fn := s.rankFn
+		s.job.Start(func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
+			if rank == 0 {
+				defer s.Co.RootExited()
+			}
+			return fn(rank, proc, clock)
+		})
+		// The rank bodies hold the restart images; drop them with the
+		// ranks rather than with the session.
+		s.rankFn = nil
+	})
 	res, err := s.job.WaitResult()
 	st := Stats{
 		VT:        res.VT,

@@ -19,13 +19,24 @@ import (
 // runs produce bit-identical virtual times. Config.FixedXlatCost trades
 // the measured signal for reproducibility — the cross-kernel
 // conformance suite depends on it to compare Stats byte-for-byte.
+//
+// A sample is capped at maxXlatSample: the bookkeeping is a handful of
+// table lookups, so a longer window means the rank's goroutine was
+// descheduled (preempted, stopped for GC) between the two clock reads.
+// Charging that host stall would bill one rank milliseconds of upper-half
+// work, which message timestamps then spread to every peer.
 func (r *Runtime) xlatDone(t0 time.Time) {
 	if r.cfg.FixedXlatCost > 0 {
 		r.clock.Advance(r.cfg.FixedXlatCost)
 		return
 	}
-	r.clock.Advance(time.Since(t0))
+	r.clock.Advance(min(time.Since(t0), maxXlatSample))
 }
+
+// maxXlatSample bounds one measured bookkeeping sample. Genuine samples,
+// the legacy string-keyed design's included, stay in the low
+// microseconds.
+const maxXlatSample = 20 * time.Microsecond
 
 // This file contains the MANA stub (wrapper) functions of Figure 1: one
 // per MPI call, each translating virtual ids to physical ids on the way

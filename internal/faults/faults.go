@@ -215,9 +215,14 @@ type Injector struct {
 	// before each (re)start.
 	base time.Duration
 	// crashes is the VT-armed crash schedule (sorted by At); crashIdx
-	// is the next unconsumed one.
+	// is the next unconsumed one. vtFired records that one fired in the
+	// current launch: the job is dead, so ranks still running through
+	// its teardown consume no later crash (under the goroutine kernel
+	// how far they get is wall-time dependent) until AttachFabric binds
+	// the next launch.
 	crashes  []Event
 	crashIdx int
+	vtFired  bool
 	// jobLabel and nodeOf are the owning job's name and rank-to-node
 	// placement (SetPlacement); they label every CrashError. doomed
 	// holds collateral kills of a fired node crash: each rank placed on
@@ -581,7 +586,7 @@ func (inj *Injector) vtCrashLocked(rank int, now time.Duration) error {
 		inj.doomed[rank] = nil
 		return err
 	}
-	if inj.crashIdx >= len(inj.crashes) {
+	if inj.vtFired || inj.crashIdx >= len(inj.crashes) {
 		return nil
 	}
 	next := inj.crashes[inj.crashIdx]
@@ -594,6 +599,7 @@ func (inj *Injector) vtCrashLocked(rank int, now time.Duration) error {
 		}
 		inj.crashIdx++
 		inj.firedCrashes++
+		inj.vtFired = true
 		for r := 0; r < inj.n; r++ {
 			if r != rank && inj.nodeOf[r] == next.Node {
 				if inj.doomed == nil {
@@ -609,6 +615,7 @@ func (inj *Injector) vtCrashLocked(rank int, now time.Duration) error {
 	}
 	inj.crashIdx++
 	inj.firedCrashes++
+	inj.vtFired = true
 	return inj.crashErrLocked(rank, now)
 }
 
@@ -656,10 +663,14 @@ func (inj *Injector) RegisterCtlContext(ctx uint32) {
 	inj.mu.Unlock()
 }
 
-// AttachFabric installs the injector's control-message filter on the
-// job's fabric. Call before the job starts; a no-op unless control
-// faults are armed.
+// AttachFabric binds the injector to a newly launched job: it re-arms
+// the crash schedule for the launch and, when control faults are armed,
+// installs the control-message filter on the job's fabric. Call before
+// the job starts.
 func (inj *Injector) AttachFabric(fab *transport.Fabric) {
+	inj.mu.Lock()
+	inj.vtFired = false
+	inj.mu.Unlock()
 	if !inj.CtlArmed() {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 
 	"manasim/internal/ckptstore"
 	"manasim/internal/simtime"
+	"manasim/internal/transport"
 )
 
 // TestTimelineDeterminism: the rendered timeline is a pure function of
@@ -82,6 +83,31 @@ func TestVTCrashFiresOnTargetRank(t *testing.T) {
 	}
 	if inj.CrashesFired() != 1 {
 		t.Fatalf("CrashesFired = %d, want 1", inj.CrashesFired())
+	}
+}
+
+// TestVTCrashOncePerLaunch: a launch dies at its first scheduled crash,
+// so a peer running on through the teardown past the next arrival does
+// not consume it; the next launch (AttachFabric) does.
+func TestVTCrashOncePerLaunch(t *testing.T) {
+	inj := NewInjector(2, Plan{Events: []Event{
+		{Kind: NodeCrash, Rank: 0, At: time.Millisecond, Step: -1},
+		{Kind: NodeCrash, Rank: 1, At: 2 * time.Millisecond, Step: -1},
+	}})
+	inj.AttachFabric(transport.NewFabric(2))
+	if err := inj.CheckCall(0, time.Millisecond); err == nil {
+		t.Fatal("first crash did not fire")
+	}
+	if err := inj.CheckCall(1, 3*time.Millisecond); err != nil {
+		t.Fatalf("second crash fired in the launch the first one killed: %v", err)
+	}
+	inj.AttachFabric(transport.NewFabric(2))
+	var ce *CrashError
+	if err := inj.CheckCall(1, 3*time.Millisecond); !errors.As(err, &ce) || ce.Rank != 1 {
+		t.Fatalf("second crash in the next launch: got %v", err)
+	}
+	if inj.CrashesFired() != 2 {
+		t.Fatalf("CrashesFired = %d, want 2", inj.CrashesFired())
 	}
 }
 
