@@ -22,9 +22,10 @@
 //   - "twophase" — the paper's two-phase protocol (SC'23, Section 5):
 //     an MPI_Alltoall of cumulative send counters followed by
 //     Iprobe+Recv until every expected message has been drained.
-//   - "toposort" — the topological-sort approach of arXiv:2408.02218:
-//     no global collective; ranks announce counters point-to-point and
-//     drain in send-dependency order, so a rank can reach its cut
+//   - "toposort" — the collective-free approach of arXiv:2408.02218:
+//     each rank announces to every peer, point-to-point, how many
+//     messages it sent that peer, and pulls announced peers' traffic in
+//     ascending rank order as announcements arrive, so a rank can drain
 //     without waiting for job-wide agreement traffic.
 //
 // The Coordinator plays the role of the DMTCP coordinator in real

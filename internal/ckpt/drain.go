@@ -86,8 +86,8 @@ type ReliableCtl interface {
 	CtlFaultsArmed() bool
 	// CtlNow is the rank's current virtual time.
 	CtlNow() time.Duration
-	// CtlEpoch numbers the current drain round; rows from older rounds
-	// are discarded. The post-checkpoint barrier guarantees an epoch
+	// CtlEpoch numbers the current drain round; announcements from older
+	// rounds are discarded. The post-checkpoint barrier guarantees an epoch
 	// mismatch means a strictly older round.
 	CtlEpoch() int64
 	// CtlResendTimeout is the virtual-time ack deadline before a resend.

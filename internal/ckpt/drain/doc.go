@@ -19,14 +19,19 @@
 //   - TopoSort ("toposort") implements the approach of "Enabling
 //     Practical Transparent Checkpointing for MPI: A Topological Sort
 //     Approach" (arXiv:2408.02218): no global collective is issued.
-//     Each rank announces its send counters point-to-point on the
-//     internal communicator as it reaches its cut, builds the
-//     send-dependency graph incrementally from the announcements it
-//     receives, and drains announced peers in topological order of
-//     that graph while later announcements are still in flight. The
-//     counter agreement is pairwise rather than collective: every rank
-//     still needs each peer's row to prove its cut complete, but no
-//     rank blocks inside an MPI collective while another is late.
+//     As it reaches its cut, each rank announces to every peer,
+//     point-to-point on the internal communicator, the one count that
+//     peer needs: how many messages this rank sent it. A rank pulls an
+//     announced peer's in-flight messages as soon as the announcement
+//     arrives, taking the newly announced peers in ascending world-rank
+//     order, while later announcements are still in flight. The
+//     agreement is pairwise rather than collective: every rank still
+//     needs each peer's count to prove its cut complete, but no rank
+//     blocks inside an MPI collective while another is late.
+//
+// Under armed control-message faults both strategies replace their
+// counter exchange with the same acknowledged point-to-point exchange
+// of one [epoch, count] announcement per peer (reliable.go).
 //
 // Both strategies leave the rank in the same post-condition — receive
 // counters equal to every peer's send counters, all in-flight payloads

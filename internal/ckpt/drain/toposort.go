@@ -2,6 +2,7 @@ package drain
 
 import (
 	"fmt"
+	"slices"
 
 	"manasim/internal/ckpt"
 	"manasim/internal/mpi"
@@ -15,36 +16,27 @@ func init() {
 // arXiv:2408.02218 ("Enabling Practical Transparent Checkpointing for
 // MPI: A Topological Sort Approach"). Where the two-phase protocol
 // synchronizes all ranks in an MPI_Alltoall before anyone drains, here
-// each rank announces its cumulative send counters point-to-point on
-// the internal communicator the moment it reaches its cut, assembles
-// the send-dependency matrix from the announcements it receives, and
-// drains announced predecessors in topological order of that graph —
-// messages are pulled incrementally as rows arrive instead of after a
-// collective barrier. A rank still needs every peer's row before it
-// can prove its cut complete (without rank p's counters it cannot know
-// whether p sent to it), but that agreement is pairwise and
-// non-collective: no rank blocks inside an MPI collective while
+// each rank, the moment it reaches its cut, announces to every peer p
+// point-to-point on the internal communicator the one number p needs:
+// how many messages this rank sent to p. A rank pulls an announced
+// peer's traffic as soon as the announcement arrives, instead of after
+// a collective barrier, taking the peers announced since its last pass
+// in ascending world-rank order. A rank still needs every peer's count
+// before it can prove its cut complete, but that agreement is pairwise
+// and non-collective: no rank blocks inside an MPI collective while
 // another is late.
-type TopoSort struct {
-	order []int
-}
+type TopoSort struct{}
 
 // Name implements ckpt.DrainStrategy.
 func (*TopoSort) Name() string { return "toposort" }
 
-// Order reports the send-dependency checkpoint order computed during
-// the last Drain (world ranks, dependency-first). Every rank computes
-// the same order from the same counter matrix.
-func (s *TopoSort) Order() []int { return s.order }
-
 // Drain implements ckpt.DrainStrategy.
 //
-// With control-message faults armed the incremental row-by-row drain is
-// replaced by the reliable exchange: first collect the complete counter
-// matrix under the timeout-and-resend protocol, then pull everything in
-// the topological order of the full matrix. Incremental pulling is
-// pointless under loss — a dropped announcement would stall the partial
-// order anyway — and the reliable exchange already proves all pre-cut
+// With control-message faults armed the incremental drain is replaced
+// by the reliable exchange: first collect every peer's count under the
+// timeout-and-resend protocol, then pull everything. Incremental
+// pulling is pointless under loss — a dropped announcement would stall
+// it anyway — and the reliable exchange already proves all pre-cut
 // traffic probeable when it returns.
 func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	// The phase survives an error return: the deadlock diagnostic reports
@@ -55,38 +47,33 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		}
 	}()
 	n, me := env.Size(), env.Rank()
-	sent := env.SentTo()
-	mine := make([]int64, n)
-	for p, v := range sent {
-		mine[p] = int64(v)
-	}
 	if n == 1 {
-		s.order = []int{0}
 		return nil
 	}
+	sent := env.SentTo()
 
 	// Snapshot receive counters before any Pull mutates them.
 	recvBase := append([]uint64(nil), env.RecvFrom()...)
 
 	if rel, ok := reliableArmed(env); ok {
-		matrix, err := reliableRows(env, rel, mine)
+		counts, err := reliableCounts(env, rel, sent)
 		if err != nil {
 			return fmt.Errorf("drain/toposort: reliable counter exchange: %w", err)
 		}
-		return s.drainFull(env, matrix, recvBase)
+		return s.drainFull(env, counts, recvBase)
 	}
 
 	ckpt.SetPhase(env, "toposort:announce")
-	// Announce this rank's counters to every peer. The announcement is
-	// deposited after the rank's last pre-cut application send, so a
-	// peer holding our row knows our traffic toward it is complete and
-	// already probeable (deposit-on-send transport).
+	// Announce to every peer how many messages this rank sent it. The
+	// announcement is deposited after the rank's last pre-cut
+	// application send, so a peer holding it knows our traffic toward it
+	// is complete and already probeable (deposit-on-send transport).
 	for p := 0; p < n; p++ {
 		if p == me {
 			continue
 		}
-		if err := env.CtlSend(p, ckpt.TagDrainCounters, mine); err != nil {
-			return fmt.Errorf("drain/toposort: announcing counters to rank %d: %w", p, err)
+		if err := env.CtlSend(p, ckpt.TagDrainCounters, []int64{int64(sent[p])}); err != nil {
+			return fmt.Errorf("drain/toposort: announcing count to rank %d: %w", p, err)
 		}
 	}
 
@@ -95,30 +82,21 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		return err
 	}
 
-	matrix := make([][]int64, n)
-	matrix[me] = mine
+	seen := make([]bool, n)
 	expect := make([]int64, n)
-	pulled := make([]int64, n)
-	have, outstanding := 1, int64(0)
-
-	// Self traffic needs no announcement: this rank's own counters are
-	// its own row.
-	expect[me] = mine[me] - int64(recvBase[me])
-	if expect[me] < 0 {
-		return fmt.Errorf("drain/toposort: self-send counter underflow: sent %d, received %d", mine[me], recvBase[me])
+	// Self traffic needs no announcement: this rank knows its own count.
+	seen[me] = true
+	if expect[me], err = expected(me, int64(sent[me]), recvBase); err != nil {
+		return err
 	}
-	outstanding += expect[me]
+	ready := []int{me}
+	have := 1
 
-	// The dependency order over the partial matrix is recomputed only
-	// when a new row arrives: orderOf is O(n²), and recomputing it every
-	// pass made the 1024-rank sweep quadratically slower than the drain
-	// traffic itself.
-	var order []int
-	for have < n || outstanding > 0 {
-		ckpt.SetPhase(env, fmt.Sprintf("toposort:drain rows=%d/%d outstanding=%d", have, n, outstanding))
+	for {
+		ckpt.SetPhase(env, fmt.Sprintf("toposort:drain counts=%d/%d", have, n))
 		progressed := false
 
-		// Absorb whatever counter announcements have arrived.
+		// Absorb whatever announcements have arrived.
 		for {
 			ok, src, err := env.CtlIprobe(mpi.AnySource, ckpt.TagDrainCounters)
 			if err != nil {
@@ -127,54 +105,44 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 			if !ok {
 				break
 			}
-			row, err := env.CtlRecv(src, ckpt.TagDrainCounters, n)
+			vals, err := env.CtlRecv(src, ckpt.TagDrainCounters, 1)
 			if err != nil {
 				return err
 			}
-			if matrix[src] != nil {
+			if seen[src] {
 				return fmt.Errorf("drain/toposort: duplicate counter announcement from rank %d", src)
 			}
-			matrix[src] = row
-			expect[src] = row[me] - int64(recvBase[src])
-			if expect[src] < 0 {
-				return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", src, row[me], recvBase[src])
+			seen[src] = true
+			if expect[src], err = expected(src, vals[0], recvBase); err != nil {
+				return err
 			}
-			outstanding += expect[src] - pulled[src]
+			ready = append(ready, src)
 			have++
 			progressed = true
-			order = nil
-		}
-		if order == nil {
-			order = orderOf(matrix)
 		}
 
-		// Drain announced predecessors in dependency order. Their
-		// pre-cut messages were deposited before the announcement, so
-		// every expected message is already probeable.
-		for _, w := range order {
-			if matrix[w] == nil {
-				continue
-			}
-			for pulled[w] < expect[w] {
+		// Drain the newly announced peers in ascending world-rank order,
+		// which keeps the pull order deterministic. Their pre-cut
+		// messages were deposited before the announcement, so every
+		// expected message is already probeable.
+		slices.Sort(ready)
+		for _, w := range ready {
+			for ; expect[w] > 0; expect[w]-- {
 				if err := s.pullFrom(env, comms, w); err != nil {
 					return err
 				}
-				pulled[w]++
-				outstanding--
 				progressed = true
 			}
 		}
+		ready = ready[:0]
 
+		if have == n {
+			return nil
+		}
 		if !progressed {
-			if have >= n {
-				// Every row is in and the expected messages are
-				// deposit-on-send, so an empty pass is a protocol bug,
-				// not a wait.
-				return fmt.Errorf("drain/toposort: stalled with all counters present and %d messages outstanding", outstanding)
-			}
 			// Waiting on peers that have not reached their cut yet:
-			// block until the next counter announcement instead of
-			// spin-polling. Every missing peer still owes us its row
+			// block until the next announcement instead of
+			// spin-polling. Every missing peer still owes us its count
 			// (announcements precede this loop on every rank), so the
 			// wait always terminates — and under the event kernel a
 			// spinning rank would never yield at all.
@@ -183,39 +151,39 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 			}
 		}
 	}
-	// The loop exits only with every row absorbed, so the cached order
-	// is the order of the complete matrix.
-	s.order = order
-	return nil
 }
 
-// drainFull pulls against a complete counter matrix (the reliable-path
-// epilogue): compute per-peer expectations from the matrix and the
-// receive snapshot, then pull in topological order.
-func (s *TopoSort) drainFull(env ckpt.DrainEnv, matrix [][]int64, recvBase []uint64) error {
-	n, me := env.Size(), env.Rank()
+// drainFull pulls against every peer's count at once (the
+// reliable-path epilogue), in ascending world-rank order.
+func (s *TopoSort) drainFull(env ckpt.DrainEnv, counts, recvBase []uint64) error {
 	comms, err := env.Comms()
 	if err != nil {
 		return err
 	}
-	expect := make([]int64, n)
-	for p, row := range matrix {
-		expect[p] = row[me] - int64(recvBase[p])
-		if expect[p] < 0 {
-			return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", p, row[me], recvBase[p])
-		}
-	}
-	order := orderOf(matrix)
 	ckpt.SetPhase(env, "toposort:pull")
-	for _, w := range order {
-		for pulled := int64(0); pulled < expect[w]; pulled++ {
+	for w, count := range counts {
+		want, err := expected(w, int64(count), recvBase)
+		if err != nil {
+			return err
+		}
+		for ; want > 0; want-- {
 			if err := s.pullFrom(env, comms, w); err != nil {
 				return err
 			}
 		}
 	}
-	s.order = order
 	return nil
+}
+
+// expected is the number of messages still in flight from rank src:
+// the count src announced sending this rank, less the receives
+// recorded before the drain.
+func expected(src int, count int64, recvBase []uint64) (int64, error) {
+	want := count - int64(recvBase[src])
+	if want < 0 {
+		return 0, fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", src, count, recvBase[src])
+	}
+	return want, nil
 }
 
 // pullFrom locates and pulls one in-flight message from world rank w on
@@ -249,55 +217,4 @@ func (s *TopoSort) pullFrom(env ckpt.DrainEnv, comms []ckpt.DrainComm, w int) er
 		return nil
 	}
 	return fmt.Errorf("drain/toposort: rank %d announced more messages than are probeable", w)
-}
-
-// orderOf topologically sorts the ranks of the (possibly partial) send
-// matrix: an edge p→q exists when p sent q at least one message, so
-// senders come before the ranks that depend on their traffic. Cycles —
-// a ring pipeline is one big cycle — are broken at the smallest
-// remaining rank, making the order deterministic and identical on every
-// rank once the matrix is complete.
-func orderOf(matrix [][]int64) []int {
-	n := len(matrix)
-	indeg := make([]int, n)
-	for p, row := range matrix {
-		if row == nil {
-			continue
-		}
-		for q, cnt := range row {
-			if q != p && cnt > 0 {
-				indeg[q]++
-			}
-		}
-	}
-	done := make([]bool, n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		pick := -1
-		for r := 0; r < n; r++ {
-			if !done[r] && indeg[r] == 0 {
-				pick = r
-				break
-			}
-		}
-		if pick < 0 {
-			// Cycle: break it at the smallest remaining rank.
-			for r := 0; r < n; r++ {
-				if !done[r] {
-					pick = r
-					break
-				}
-			}
-		}
-		done[pick] = true
-		order = append(order, pick)
-		if row := matrix[pick]; row != nil {
-			for q, cnt := range row {
-				if q != pick && cnt > 0 && indeg[q] > 0 {
-					indeg[q]--
-				}
-			}
-		}
-	}
-	return order
 }

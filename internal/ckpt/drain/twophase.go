@@ -24,9 +24,9 @@ func (*TwoPhase) Name() string { return "twophase" }
 // Drain implements ckpt.DrainStrategy.
 //
 // When the environment reports armed control-message faults, phase one
-// runs the reliable point-to-point row exchange instead of the
+// runs the reliable point-to-point count exchange instead of the
 // MPI_Alltoall: the collective's completion proof does not survive a
-// dropped counter message, while the reliable exchange's all-rows +
+// dropped counter message, while the reliable exchange's all-counts +
 // all-acks exit condition proves the same cut property (every peer
 // announced after its last pre-cut send) under loss.
 func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
@@ -40,26 +40,11 @@ func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 	ckpt.SetPhase(env, "twophase:exchange")
 	var theirSent []uint64
 	if rel, ok := reliableArmed(env); ok && env.Size() > 1 {
-		sent := env.SentTo()
-		mine := make([]int64, len(sent))
-		for p, v := range sent {
-			mine[p] = int64(v)
-		}
-		matrix, err := reliableRows(env, rel, mine)
-		if err != nil {
+		if theirSent, err = reliableCounts(env, rel, env.SentTo()); err != nil {
 			return fmt.Errorf("drain/twophase: reliable counter exchange: %w", err)
 		}
-		me := env.Rank()
-		theirSent = make([]uint64, env.Size())
-		for p, row := range matrix {
-			theirSent[p] = uint64(row[me])
-		}
-	} else {
-		var err error
-		theirSent, err = env.ExchangeAll(env.SentTo())
-		if err != nil {
-			return fmt.Errorf("drain/twophase: counter exchange: %w", err)
-		}
+	} else if theirSent, err = env.ExchangeAll(env.SentTo()); err != nil {
+		return fmt.Errorf("drain/twophase: counter exchange: %w", err)
 	}
 
 	recvFrom := env.RecvFrom()

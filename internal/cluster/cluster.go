@@ -156,7 +156,7 @@ func (j *Job) SetRankPhase(rank int, phase string) {
 }
 
 // rankPhases renders the non-empty phase entries for the deadlock
-// diagnostic, e.g. "rank 0: reliable:absorb rows=3/4 acks=2/4".
+// diagnostic, e.g. "rank 0: reliable:absorb counts=3/4 acks=2/4".
 func (j *Job) rankPhases() string {
 	j.phaseMu.Lock()
 	defer j.phaseMu.Unlock()

@@ -58,9 +58,9 @@ func (l ctlLink) CtlWait(src, tag int) error {
 }
 
 // CtlRecv implements ckpt.CtlLink. The receive staging buffer is reused
-// across calls (control traffic is serial per rank): at a 1024-rank
-// drain each rank receives a thousand 8 KiB counter rows, and a fresh
-// buffer per row made allocation and GC the dominant simulation cost.
+// across calls (control traffic is serial per rank): a toposort drain
+// delivers n−1 announcements to each of n ranks, and a staging buffer
+// per message would put n² short-lived allocations on the heap.
 func (l ctlLink) CtlRecv(src, tag, count int) ([]int64, error) {
 	r := l.r
 	i64, err := r.lower.LookupConst(mpi.ConstInt64)
@@ -206,7 +206,7 @@ func (e drainEnv) Pull(c ckpt.DrainComm, st mpi.Status) (int, error) {
 // fault-tolerant drain extensions (ckpt.ReliableCtl, ckpt.PhaseReporter)
 
 // CtlFaultsArmed implements ckpt.ReliableCtl: the drain strategies
-// switch to the acknowledged counter-row protocol only when a fault
+// switch to the acknowledged counter exchange only when a fault
 // injector may actually drop or delay control messages.
 func (e drainEnv) CtlFaultsArmed() bool {
 	f := e.r.cfg.Faults
@@ -217,8 +217,8 @@ func (e drainEnv) CtlFaultsArmed() bool {
 func (e drainEnv) CtlNow() time.Duration { return e.r.clock.Now() }
 
 // CtlEpoch implements ckpt.ReliableCtl: the drain round number stamped
-// on reliable counter rows, so a resent row from an earlier checkpoint
-// cannot be mistaken for this round's.
+// on reliable counter announcements, so a resent one from an earlier
+// checkpoint cannot be mistaken for this round's.
 func (e drainEnv) CtlEpoch() int64 { return e.r.ckptEpoch }
 
 // CtlResendTimeout implements ckpt.ReliableCtl.

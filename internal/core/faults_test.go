@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"manasim/internal/apps"
+	"manasim/internal/ckpt"
 	"manasim/internal/cluster"
 	"manasim/internal/faults"
 	"manasim/internal/impls"
@@ -289,37 +290,45 @@ func TestCrashRecoveryAllImpls(t *testing.T) {
 
 // TestCtlLossReliableDrain: with a dropped and a delayed drain-counter
 // announcement, the reliable exchange's timeout-and-resend recovery must
-// still complete the checkpoint, and the results must match the
-// fault-free run.
+// still complete the checkpoint under every drain strategy, and the
+// results must match that strategy's fault-free run.
 func TestCtlLossReliableDrain(t *testing.T) {
 	spec, in := batteryInput(t, "lammps", 9)
 	appf := spec.New(in)
-	clean, _, err := Run(faultCfg(t, "mpich", cluster.KernelEvent, nil), in.Ranks, appf, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, strat := range ckpt.DrainNames() {
+		t.Run(strat, func(t *testing.T) {
+			cfg := faultCfg(t, "mpich", cluster.KernelEvent, nil)
+			cfg.DrainStrategy = strat
+			clean, _, err := Run(cfg, in.Ranks, appf, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	inj := faults.NewInjector(in.Ranks, faults.Plan{Events: []faults.Event{
-		{Kind: faults.CtlLoss, Rank: 1, Nth: 1, Step: -1},
-		{Kind: faults.CtlReorder, Rank: 2, Nth: 1, Delay: 200 * time.Microsecond, Step: -1},
-	}})
-	st, _, err := Run(faultCfg(t, "mpich", cluster.KernelEvent, inj), in.Ranks, appf, 3)
-	if err != nil {
-		t.Fatalf("drain under control loss: %v", err)
-	}
-	if st.CkptTaken != 1 {
-		t.Fatalf("checkpoints %d, want 1", st.CkptTaken)
-	}
-	if inj.CtlDropped() != 1 || inj.CtlDelayed() != 1 {
-		t.Fatalf("dropped=%d delayed=%d, want 1/1", inj.CtlDropped(), inj.CtlDelayed())
-	}
-	if !reflect.DeepEqual(st.Checksums, clean.Checksums) {
-		t.Fatal("control-message faults changed application results")
-	}
-	// The recovery costs virtual time (the resend timeout), so the lossy
-	// drain is at least as slow as the clean one.
-	if st.DrainVT < clean.DrainVT {
-		t.Fatalf("lossy drain VT %v below clean %v", st.DrainVT, clean.DrainVT)
+			inj := faults.NewInjector(in.Ranks, faults.Plan{Events: []faults.Event{
+				{Kind: faults.CtlLoss, Rank: 1, Nth: 1, Step: -1},
+				{Kind: faults.CtlReorder, Rank: 2, Nth: 1, Delay: 200 * time.Microsecond, Step: -1},
+			}})
+			cfg = faultCfg(t, "mpich", cluster.KernelEvent, inj)
+			cfg.DrainStrategy = strat
+			st, _, err := Run(cfg, in.Ranks, appf, 3)
+			if err != nil {
+				t.Fatalf("drain under control loss: %v", err)
+			}
+			if st.CkptTaken != 1 {
+				t.Fatalf("checkpoints %d, want 1", st.CkptTaken)
+			}
+			if inj.CtlDropped() != 1 || inj.CtlDelayed() != 1 {
+				t.Fatalf("dropped=%d delayed=%d, want 1/1", inj.CtlDropped(), inj.CtlDelayed())
+			}
+			if !reflect.DeepEqual(st.Checksums, clean.Checksums) {
+				t.Fatal("control-message faults changed application results")
+			}
+			// The recovery costs virtual time (the resend timeout), so
+			// the lossy drain is at least as slow as the clean one.
+			if st.DrainVT < clean.DrainVT {
+				t.Fatalf("lossy drain VT %v below clean %v", st.DrainVT, clean.DrainVT)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"manasim/internal/apps"
+	"manasim/internal/ckpt"
 	"manasim/internal/cluster"
 	"manasim/internal/impls"
 )
@@ -70,7 +71,8 @@ func TestKernelConformanceAllImpls(t *testing.T) {
 }
 
 // TestEventKernelScale256 is the scale smoke for CI: a 256-rank
-// checkpointing run completes on the event kernel in test time.
+// checkpointing run completes on the event kernel in test time under
+// every drain strategy.
 func TestEventKernelScale256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke")
@@ -87,12 +89,16 @@ func TestEventKernelScale256(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{ImplName: "mpich", Factory: factory, Kernel: cluster.KernelEvent}
-	st, _, err := Run(cfg, in.Ranks, spec.New(in), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CkptTaken != 1 || len(st.Checksums) != 256 {
-		t.Fatalf("scale smoke stats %+v", st)
+	for _, strat := range ckpt.DrainNames() {
+		t.Run(strat, func(t *testing.T) {
+			cfg := Config{ImplName: "mpich", Factory: factory, Kernel: cluster.KernelEvent, DrainStrategy: strat}
+			st, _, err := Run(cfg, in.Ranks, spec.New(in), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.CkptTaken != 1 || len(st.Checksums) != 256 {
+				t.Fatalf("scale smoke stats %+v", st)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package mpibase
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -216,10 +217,69 @@ func TestGroupMath(t *testing.T) {
 	if g.RankOf(2) != 1 || g.RankOf(9) != mpi.Undefined {
 		t.Fatal("RankOf")
 	}
+	// World-ordered, permuted and out-of-range lookups: the fast path
+	// for a member at its own world position must agree with the scan.
+	cases := []struct {
+		ranks []int
+		world int
+		want  int
+	}{
+		{[]int{0, 1, 2, 3}, 2, 2},
+		{[]int{0, 1, 2, 3}, 4, mpi.Undefined},
+		{[]int{0, 1, 2, 3}, -1, mpi.Undefined},
+		{[]int{1, 0, 2}, 0, 1},
+		{[]int{1, 0, 2}, 1, 0},
+		{[]int{1, 0, 2}, 2, 2},
+		{[]int{4, 2, 7}, 0, mpi.Undefined},
+		{[]int{4, 2, 7}, 7, 2},
+		{nil, 0, mpi.Undefined},
+	}
+	for _, tc := range cases {
+		if got := (&Group{Ranks: tc.ranks}).RankOf(tc.world); got != tc.want {
+			t.Errorf("%v.RankOf(%d) = %d, want %d", tc.ranks, tc.world, got, tc.want)
+		}
+	}
 	c := g.Clone()
 	c.Ranks[0] = 99
 	if g.Ranks[0] != 4 {
 		t.Fatal("Clone aliases storage")
+	}
+}
+
+// TestSendDoesNotAliasBuffer: a send of a dense buffer hands the bytes
+// to the transport without packing them first, so the sender may reuse
+// its buffer the moment Send returns and the receiver still gets what
+// was sent.
+func TestSendDoesNotAliasBuffer(t *testing.T) {
+	fab := transport.NewFabric(2)
+	t.Cleanup(fab.Close)
+	src := NewEngine(fab, 0, simtime.NewClock(), simtime.NetModel{})
+	dst := NewEngine(fab, 1, simtime.NewClock(), simtime.NetModel{})
+	i64 := src.PredefDtype(mpi.ConstInt64)
+	quad, err := src.TypeContiguous(2, i64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		dt    *Dtype
+		count int
+	}{{"int64", i64, 4}, {"contiguous", quad, 2}} {
+		want := []int64{1, 2, 3, 4}
+		buf := mpi.Int64Bytes(want)
+		if err := src.Send(src.WorldComm, buf, tc.count, tc.dt, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		got := make([]byte, len(buf))
+		if _, err := dst.Recv(dst.WorldComm, got, len(got), dst.PredefDtype(mpi.ConstByte), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if v := mpi.Int64s(got); !reflect.DeepEqual(v, want) {
+			t.Errorf("%s: received %v after the sender overwrote its buffer, want %v", tc.name, v, want)
+		}
 	}
 }
 

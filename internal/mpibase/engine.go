@@ -157,7 +157,12 @@ func (e *Engine) sendRaw(c *Comm, ctx uint32, buf []byte, count int, dt *Dtype, 
 	if need := dt.BufLen(count); len(buf) < need {
 		return mpi.Errorf(mpi.ErrArg, "send buffer %d bytes, need %d", len(buf), need)
 	}
-	payload := dt.Pack(buf, count)
+	// Endpoint.Send copies the payload, so a dense buffer goes to it as
+	// is; only a strided datatype needs packing first.
+	payload := buf[:count*dt.SizeB]
+	if !dt.contiguous() {
+		payload = dt.Pack(buf, count)
+	}
 	e.Clock.Advance(e.Net.Overhead)
 	if err := e.Ep.Send(world, ctx, tag, payload, e.Clock.Now()); err != nil {
 		return mpi.Errorf(mpi.ErrOther, "transport: %v", err)

@@ -31,6 +31,12 @@ func (g *Group) Size() int { return len(g.Ranks) }
 // RankOf returns the group rank of the given world rank, or
 // mpi.Undefined if the world rank is not a member.
 func (g *Group) RankOf(world int) int {
+	// A group lists each world rank at most once, so a member sitting at
+	// its own world position (every rank of a world-ordered group) is
+	// found without the scan.
+	if 0 <= world && world < len(g.Ranks) && g.Ranks[world] == world {
+		return world
+	}
 	for i, w := range g.Ranks {
 		if w == world {
 			return i
